@@ -267,6 +267,15 @@ func TestEigenSymReconstruct(t *testing.T) {
 			}
 		}
 	}
+	for _, c := range eigenCases() {
+		e, err := EigenSym(c.a)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if r, b := eigenResidual(c.a, e), residualBound(c.a); r > b {
+			t.Fatalf("%s: max|AQ − QΛ| = %g > %g", c.name, r, b)
+		}
+	}
 }
 
 func TestEigenSymOrthonormal(t *testing.T) {
@@ -282,6 +291,15 @@ func TestEigenSymOrthonormal(t *testing.T) {
 	for i := range id.Data {
 		if !almostEqual(qtq.Data[i], id.Data[i], 1e-9) {
 			t.Fatalf("QᵀQ not identity at %d: %g", i, qtq.Data[i])
+		}
+	}
+	for _, c := range eigenCases() {
+		e, err := EigenSym(c.a)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if o, b := orthoError(e.Q), orthoBound(c.a.Rows); o > b {
+			t.Fatalf("%s: max|QᵀQ − I| = %g > %g", c.name, o, b)
 		}
 	}
 }
