@@ -69,12 +69,12 @@ func runServePerf(quick bool, add func(name, group string, bytes int, fn func() 
 		MBPerSec:    repLG.CompressMBPerSec,
 	}
 	rep.Rows = append(rep.Rows, row)
+	// The tail-latency row carries no throughput: MBPerSec stays zero, the
+	// round-trip row above holds it.
 	rep.Rows = append(rep.Rows, PerfRow{
 		Name:    "serve/latency-p99",
 		Group:   "serve",
 		NsPerOp: repLG.LatencyP99 * 1e9,
-		// Throughput carried on the roundtrip row; this row tracks the tail.
-		MBPerSec: repLG.CompressMBPerSec,
 	})
 
 	// Single-stream row via the shared measurement loop: one session, one

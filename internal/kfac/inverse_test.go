@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"compso/internal/nn"
 	"compso/internal/tensor"
+	"compso/internal/xrand"
 )
 
 // TestRefreshCholeskyRejectsNonFiniteFactors pins the pi-guard bugfix: a
@@ -92,5 +94,51 @@ func TestRefreshEigenRejectsNonFiniteFactors(t *testing.T) {
 				t.Fatalf("poison %v in %s: decomposition cached despite the error", poison, factor)
 			}
 		}
+	}
+}
+
+// TestAccumulateStatsNonFiniteActivation: an Inf activation captured by a
+// layer poisons its whole row and column of factor A, also where it meets
+// the zeros of a ReLU output (Gram does not skip zero products), and
+// RefreshEigen then rejects the factor with the layer-and-factor wrapped
+// error instead of decomposing a finite-looking one.
+func TestAccumulateStatsNonFiniteActivation(t *testing.T) {
+	model := buildModel(12)
+	k := New(model, DefaultConfig())
+	x, y := makeBatch(xrand.NewSeeded(7), 8)
+	_, grad := nn.SoftmaxCrossEntropy{}.Loss(model.Forward(x, true), y)
+	model.Backward(grad)
+	// Layer 1's input is the ReLU output plus the bias column.
+	l := k.layers[1]
+	act, _ := l.layer.KFACStats()
+	zero := -1
+	for j := 0; j < act.Cols; j++ {
+		if act.At(0, j) == 0 {
+			zero = j
+		}
+	}
+	if zero < 0 {
+		t.Fatal("fixture: the first sample has no zero activation")
+	}
+	poisoned := (zero + 1) % act.Cols
+	act.Set(0, poisoned, math.Inf(1))
+	k.AccumulateStats(8)
+	if err := k.CommitCovariances(k.PendingCovariances(), 1); err != nil {
+		t.Fatal(err)
+	}
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	for j := 0; j < l.A.Cols; j++ {
+		if finite(l.A.At(poisoned, j)) || finite(l.A.At(j, poisoned)) {
+			t.Fatalf("factor A entries (%d,%d)/(%d,%d) = %g/%g: finite despite the Inf activation",
+				poisoned, j, j, poisoned, l.A.At(poisoned, j), l.A.At(j, poisoned))
+		}
+	}
+	err := k.RefreshEigen(1)
+	want := "kfac: layer " + l.name + " factor A: "
+	if err == nil || !strings.HasPrefix(err.Error(), want) || !errors.Is(err, tensor.ErrNoConvergence) {
+		t.Fatalf("RefreshEigen error %v, want prefix %q wrapping tensor.ErrNoConvergence", err, want)
+	}
+	if l.eigA != nil || l.eigG != nil {
+		t.Fatal("decomposition cached despite the error")
 	}
 }

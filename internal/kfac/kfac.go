@@ -150,9 +150,9 @@ func (k *KFAC) AccumulateStats(batchSize int) {
 	for _, l := range k.layers {
 		a, g := l.layer.KFACStats()
 		rows := float64(a.Rows)
-		l.pendA = tensor.New(0, 0).TMatMul(a, a)
+		l.pendA = tensor.New(0, 0).Gram(a)
 		l.pendA.Scale(1/rows, l.pendA)
-		l.pendG = tensor.New(0, 0).TMatMul(g, g)
+		l.pendG = tensor.New(0, 0).Gram(g)
 		// Backward gradients carry the 1/batch loss scaling; multiplying
 		// by the batch size restores the per-sample scale of G.
 		l.pendG.Scale(float64(batchSize), l.pendG)

@@ -80,7 +80,7 @@ func (s *Shampoo) Precondition(i int) ([]float32, error) {
 	grad := l.param.Grad
 	// Update statistics.
 	l.l.AXPY(1, tensor.New(0, 0).MatMulT(grad, grad))
-	l.r.AXPY(1, tensor.New(0, 0).TMatMul(grad, grad))
+	l.r.AXPY(1, tensor.New(0, 0).Gram(grad))
 	if s.step%s.UpdateFreq == 0 || l.lRoot == nil {
 		var err error
 		l.lRoot, err = inverseFourthRoot(l.l, s.Epsilon)

@@ -3,6 +3,14 @@
 // with float64 storage, GEMM variants, Kronecker products, symmetric
 // eigendecomposition and Cholesky factorization.
 //
+// The GEMM variants are MatMul (a·b), MatMulT (a·bᵀ), TMatMul (aᵀ·b) and
+// Gram (aᵀ·a, the Kronecker-factor product, which computes only the upper
+// triangle and mirrors it). They share one register-blocked kernel. For
+// finite inputs each output element is bit-identical to a naive triple
+// loop: the sum of its products added from +0 in ascending k, with no
+// math.FMA. A NaN or ±Inf input makes every output element it
+// contributes to non-finite, even where it meets a zero.
+//
 // The package is deliberately small and allocation-conscious rather than
 // general: K-FAC needs square symmetric factor matrices (typically a few
 // hundred rows in the proxy models) and the layer math needs rectangular
@@ -164,79 +172,6 @@ func (a *Matrix) Transpose() *Matrix {
 		}
 	}
 	return t
-}
-
-// MatMul stores a·b into m and returns m. m must not alias a or b.
-// It panics if the inner dimensions disagree.
-func (m *Matrix) MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	m.reshape(a.Rows, b.Cols)
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-	// i-k-j loop order keeps both b and m accesses sequential.
-	for i := 0; i < a.Rows; i++ {
-		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				mrow[j] += av * bv
-			}
-		}
-	}
-	return m
-}
-
-// MatMulT stores a·bᵀ into m and returns m. m must not alias a or b.
-func (m *Matrix) MatMulT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulT %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	m.reshape(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			var sum float64
-			for k, av := range arow {
-				sum += av * brow[k]
-			}
-			mrow[j] = sum
-		}
-	}
-	return m
-}
-
-// TMatMul stores aᵀ·b into m and returns m. m must not alias a or b.
-func (m *Matrix) TMatMul(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: TMatMul (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	m.reshape(a.Cols, b.Cols)
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
-		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
-			for j, bv := range brow {
-				mrow[j] += av * bv
-			}
-		}
-	}
-	return m
 }
 
 // Kron returns the Kronecker product a ⊗ b as a new matrix.
